@@ -16,8 +16,9 @@
 //!    of IC(0)'s. Control with `PERF_RECORD_FAST=all|mg|off` (CI's smoke
 //!    job runs `mg` to exercise hierarchy construction on every push).
 //! 3. **V-cycle threading A/B** — on the fast-fidelity operator, one
-//!    multigrid V-cycle with `parallel_sweeps` off (serial smoothers and
-//!    transfers) vs on (banded block-SSOR + threaded SpMV), recording the
+//!    multigrid V-cycle with `parallel_sweeps` off (serial transfer and
+//!    residual SpMVs) vs on (threaded SpMVs; the smoothers sweep serially
+//!    either way), recording the
 //!    wall-clock per cycle and the speedup. On machines with at least two
 //!    hardware threads the parallel cycle must be ≥ 1.3× faster.
 //! 4. **Triangular-solve threading A/B** — on the same fast-fidelity

@@ -5,9 +5,11 @@
 //! operator — placement, layout, fidelity, ONI count — land in one
 //! **batch group** and run through one shared [`ThermalStudy`]: the first
 //! point pays meshing, assembly, factorization and the (block-solved)
-//! response basis; every later point re-targets that engine with
-//! [`ThermalStudy::reconfigured`], which re-paints powers and re-solves
-//! the basis warm-started through one
+//! response basis; every later point re-targets that study with
+//! [`ThermalStudy::reconfigured`]. A point that changes only powers or
+//! the heater policy keeps the held basis and solves nothing; one that
+//! changes the activity pattern re-paints powers and re-solves the basis
+//! warm-started through one
 //! [`solve_batch`](vcsel_thermal::SolveContext::solve_batch) call.
 //!
 //! Results stream per point: each finished [`DseReport`] is checkpointed
@@ -314,6 +316,34 @@ mod tests {
         assert_eq!(plan.group_count(), 2);
     }
 
+    /// Asserts a batched report agrees with a fresh-study `run_spec` of
+    /// the same spec.
+    fn assert_matches_run_spec(spec: &SystemSpec, batched: &DseReport) {
+        let direct = run_spec(spec).unwrap();
+        assert_eq!(batched.name, direct.name);
+        // The shared engine warm-starts where a fresh study solves cold,
+        // so agreement is at CG-tolerance level — the same 1e-5 bound the
+        // reconfigured-vs-fresh study test uses.
+        assert!(
+            (batched.worst_gradient_c - direct.worst_gradient_c).abs() < 1e-5,
+            "{}: batched {} vs direct {}",
+            spec.name,
+            batched.worst_gradient_c,
+            direct.worst_gradient_c
+        );
+        // SNR passes the field through the MR resonance alignment, which
+        // amplifies solver-tolerance-level temperature noise; 1e-3 dB is
+        // still orders below any physical significance.
+        assert!(
+            (batched.worst_snr_db - direct.worst_snr_db).abs() < 1e-3
+                || batched.worst_snr_db == direct.worst_snr_db,
+            "{}: snr {} vs {}",
+            spec.name,
+            batched.worst_snr_db,
+            direct.worst_snr_db
+        );
+    }
+
     #[test]
     fn batched_sweep_matches_run_spec_point_for_point() {
         let plan = BatchPlan::for_sweep(&tiny_sweep());
@@ -322,31 +352,55 @@ mod tests {
         let results = plan.run(&flow, None);
         assert_eq!(results.len(), 3);
         for (spec, result) in plan.specs().iter().zip(&results) {
-            let batched = result.as_ref().unwrap();
-            let direct = run_spec(spec).unwrap();
-            assert_eq!(batched.name, direct.name);
-            // The shared engine warm-starts where a fresh study solves
-            // cold, so agreement is at CG-tolerance level — the same 1e-5
-            // bound the reconfigured-vs-fresh study test uses.
-            assert!(
-                (batched.worst_gradient_c - direct.worst_gradient_c).abs() < 1e-5,
-                "{}: batched {} vs direct {}",
-                spec.name,
-                batched.worst_gradient_c,
-                direct.worst_gradient_c
-            );
-            // SNR passes the field through the MR resonance alignment,
-            // which amplifies solver-tolerance-level temperature noise;
-            // 1e-3 dB is still orders below any physical significance.
-            assert!(
-                (batched.worst_snr_db - direct.worst_snr_db).abs() < 1e-3
-                    || batched.worst_snr_db == direct.worst_snr_db,
-                "{}: snr {} vs {}",
-                spec.name,
-                batched.worst_snr_db,
-                direct.worst_snr_db
-            );
+            assert_matches_run_spec(spec, result.as_ref().unwrap());
         }
+    }
+
+    #[test]
+    fn only_cold_and_activity_points_solve() {
+        let sweep = SweepSpec {
+            name: "reuse-tiers".into(),
+            base: tiny_base(),
+            points: vec![
+                SweepOverride { name: Some("cold".into()), ..Default::default() },
+                SweepOverride {
+                    name: Some("explore".into()),
+                    p_vcsel_mw: Some(4.0),
+                    heater: Some(HeaterSpec::Explore { max_ratio: 1.0, samples: 5 }),
+                    ..Default::default()
+                },
+                SweepOverride {
+                    name: Some("fixed".into()),
+                    p_vcsel_mw: Some(3.0),
+                    p_chip_w: Some(2.6),
+                    ..Default::default()
+                },
+                SweepOverride {
+                    name: Some("diag".into()),
+                    activity: Some(Activity::Diagonal),
+                    ..Default::default()
+                },
+            ],
+        };
+        let plan = BatchPlan::for_sweep(&sweep);
+        let flow = DesignFlow::paper();
+        // Drive the points the way `run` does, reading the shared engine's
+        // iteration count after each.
+        let mut study = None;
+        let mut iterations = 0;
+        let mut solved = Vec::new();
+        for spec in plan.specs() {
+            let report = plan.run_point(spec, &flow, &mut study).unwrap();
+            let total = study.as_ref().map_or(0, ThermalStudy::solver_iterations);
+            solved.push(total > iterations);
+            iterations = total;
+            assert_matches_run_spec(spec, &report);
+        }
+        assert_eq!(
+            solved,
+            [true, false, false, true],
+            "points that ran CG: cold, explore, fixed, diag"
+        );
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Thermal study: superposition-backed design-space exploration.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use vcsel_arch::{OniThermals, SccConfig, SccSystem};
 use vcsel_numerics::golden_section_min;
+use vcsel_numerics::solver::SolveOptions;
+use vcsel_telemetry::{ArgValue, SpanGuard};
 use vcsel_thermal::{EngineBlueprint, Mesh, ResponseBasis, Simulator, SolveContext, ThermalMap};
 use vcsel_units::{Celsius, TemperatureDelta, Watts};
 
@@ -23,16 +27,54 @@ const REF_DEVICE_POWER: Watts = Watts::from_milliwatts(1.0);
 /// P_VCSEL, P_heater and P_chip vary freely.
 ///
 /// The study keeps its [`SolveContext`] — one assembled, factored engine
-/// per mesh. [`ThermalStudy::reconfigured`] re-targets that engine at a new
-/// configuration, so sweeps that only change the activity pattern (the
-/// Figure 12 matrix) re-solve their basis without paying meshing, assembly
-/// or preconditioner setup again.
+/// per mesh — and its [`ResponseBasis`]. [`ThermalStudy::reconfigured`]
+/// re-targets them at a new configuration through three reuse tiers,
+/// cheapest first: a configuration that changes only powers keeps the
+/// basis and solves nothing; one that changes the activity pattern (the
+/// Figure 12 matrix) keeps the engine and re-solves the basis warm,
+/// without meshing, assembly or preconditioner setup; anything else
+/// rebuilds.
 #[derive(Debug)]
 pub struct ThermalStudy {
     system: SccSystem,
     ctx: SolveContext,
     basis: ResponseBasis,
     ref_chip_power: Watts,
+    /// The solver options `ctx` and `basis` were solved with.
+    options: SolveOptions,
+}
+
+/// Which reuse tier answered a [`ThermalStudy::reconfigured`] call.
+#[derive(Debug, Clone, Copy)]
+enum Retarget {
+    /// Same reference design, mesh and solver options: engine and basis
+    /// kept, zero CG iterations.
+    Basis = 0,
+    /// Same mesh and operator: engine kept, basis re-solved warm.
+    Engine = 1,
+    /// A fresh engine and a cold basis.
+    Rebuild = 2,
+}
+
+/// Re-targets answered per tier, indexed by [`Retarget`] discriminant.
+// ORDER: Relaxed — independent monotonic counters that only feed telemetry
+// counter samples; nothing is published through them.
+static RETARGETS: [AtomicU64; 3] = [AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0)];
+
+impl Retarget {
+    /// Records the tier as the `tier` arg of the `study_retarget` span and
+    /// samples its running count into the global sink.
+    fn record(self, span: &mut SpanGuard) {
+        let (label, counter) = match self {
+            Self::Basis => ("basis", "study_retarget_basis"),
+            Self::Engine => ("engine", "study_retarget_engine"),
+            Self::Rebuild => ("rebuild", "study_retarget_rebuild"),
+        };
+        span.arg("tier", ArgValue::Str(label));
+        // ORDER: Relaxed — monotonic counter bump, publishes nothing.
+        let total = RETARGETS[self as usize].fetch_add(1, Ordering::Relaxed) + 1;
+        vcsel_telemetry::global().counter("core", counter, total as f64);
+    }
 }
 
 impl ThermalStudy {
@@ -46,57 +88,90 @@ impl ThermalStudy {
         // fidelity, ONI count), which reference_system never touches.
         let key_config = config.clone();
         let (system, ref_chip_power) = Self::reference_system(config)?;
-        Self::new_from_built(system, ref_chip_power, simulator, &key_config)
+        let blueprint = EngineBlueprint::new(system.design(), &system.mesh_spec()?)?;
+        Self::solve_fresh(system, ref_chip_power, &blueprint, simulator, &key_config)
     }
 
-    /// Rebuilds the study for `config`, reusing the held solve engine
-    /// whenever the new system lives on the same mesh (same floorplan,
-    /// placement and fidelity — e.g. only the activity pattern changed).
-    /// In that case assembly and preconditioner setup are skipped and the
-    /// basis re-solves warm-start from the previous fields; otherwise this
-    /// falls back to a full rebuild.
+    /// Re-targets the study at `config`, reusing as much held work as the
+    /// new configuration allows. The new reference system is built once,
+    /// with the chip reference pinned to the held one (conduction is
+    /// linear, so [`ThermalStudy::evaluate`] scales chip power relative to
+    /// any reference). Then, cheapest first:
+    ///
+    /// * **basis** — the reference design, its mesh and the solver options
+    ///   all equal the held ones (only P_VCSEL, P_heater or P_chip
+    ///   changed): engine and basis are kept and no solve runs;
+    /// * **engine** — the mesh and operator match (e.g. only the activity
+    ///   pattern changed): the engine adopts the new design, skipping
+    ///   assembly and preconditioner setup, and the basis re-solves
+    ///   warm-started from the previous fields;
+    /// * **rebuild** — otherwise a fresh engine is built (through the
+    ///   engine cache) and the basis solved cold.
+    ///
+    /// The tier is recorded as the `tier` arg of a `core`/`study_retarget`
+    /// telemetry span and in the `study_retarget_basis` /
+    /// `study_retarget_engine` / `study_retarget_rebuild` counters.
     ///
     /// # Errors
     ///
     /// Propagates architecture and solver errors.
-    pub fn reconfigured(mut self, config: SccConfig, sim: &Simulator) -> Result<Self, FlowError> {
+    pub fn reconfigured(
+        mut self,
+        mut config: SccConfig,
+        sim: &Simulator,
+    ) -> Result<Self, FlowError> {
+        let mut span = vcsel_telemetry::global().span("core", "study_retarget");
         let key_config = config.clone();
+        config.p_chip = self.ref_chip_power;
         let (system, ref_chip_power) = Self::reference_system(config)?;
-        let spec = system.mesh_spec()?;
+        let options = *sim.options();
         // Meshing is cheap next to assembly; build it once and either
         // compare-and-adopt or hand it straight to the fresh engine.
-        let mesh = Mesh::build(system.design(), &spec)?;
-        if mesh == *self.ctx.mesh() && self.ctx.adopt_design(system.design()).is_ok() {
-            // The reuse path must honour the caller's solver options
-            // exactly like the rebuild path does.
-            self.ctx.set_options(*sim.options());
-            self.basis = ResponseBasis::build_on_batched(&mut self.ctx)?;
-            self.system = system;
-            self.ref_chip_power = ref_chip_power;
-            return Ok(self);
+        let mesh = Mesh::build(system.design(), &system.mesh_spec()?)?;
+        let tier = if mesh != *self.ctx.mesh() {
+            Retarget::Rebuild
+        } else if options == self.options && system.design() == self.system.design() {
+            Retarget::Basis
+        } else if self.ctx.adopt_design(system.design()).is_ok() {
+            Retarget::Engine
+        } else {
+            Retarget::Rebuild
+        };
+        tier.record(&mut span);
+        match tier {
+            Retarget::Basis => {}
+            Retarget::Engine => {
+                // The reuse path must honour the caller's solver options
+                // exactly like the rebuild path does.
+                self.ctx.set_options(options);
+                self.basis = ResponseBasis::build_on_batched(&mut self.ctx)?;
+                self.options = options;
+            }
+            Retarget::Rebuild => {
+                let blueprint = EngineBlueprint::on_mesh(system.design(), mesh);
+                return Self::solve_fresh(system, ref_chip_power, &blueprint, sim, &key_config);
+            }
         }
-        let blueprint = EngineBlueprint::on_mesh(system.design(), mesh);
-        let (ctx, _) = EngineCache::from_env().obtain(&key_config, &blueprint)?;
-        let mut ctx = ctx.with_options(*sim.options());
-        let basis = ResponseBasis::build_on_batched(&mut ctx)?;
-        Ok(Self { system, ctx, basis, ref_chip_power })
+        self.system = system;
+        Ok(self)
     }
 
-    fn new_from_built(
+    /// Obtains the blueprint's engine (through the engine cache: a hit
+    /// restores the assembled operator and factored preconditioner from
+    /// `reports/cache/` with zero factorizations, see `VCSEL_CACHE`) and
+    /// solves the response basis cold.
+    fn solve_fresh(
         system: SccSystem,
         ref_chip_power: Watts,
+        blueprint: &EngineBlueprint,
         sim: &Simulator,
         key_config: &SccConfig,
     ) -> Result<Self, FlowError> {
-        let spec = system.mesh_spec()?;
-        // Engine construction goes through the blueprint pipeline: a cache
-        // hit restores the assembled operator and factored preconditioner
-        // from `reports/cache/` with zero factorizations (`VCSEL_CACHE`).
-        let blueprint = EngineBlueprint::new(system.design(), &spec)?;
-        let (ctx, _) = EngineCache::from_env().obtain(key_config, &blueprint)?;
-        let mut ctx = ctx.with_options(*sim.options());
+        let (ctx, _) = EngineCache::from_env().obtain(key_config, blueprint)?;
+        let options = *sim.options();
+        let mut ctx = ctx.with_options(options);
         let basis = ResponseBasis::build_on_batched(&mut ctx)?;
-        Ok(Self { system, ctx, basis, ref_chip_power })
+        Ok(Self { system, ctx, basis, ref_chip_power, options })
     }
 
     /// Builds the [`SccSystem`] with every group at its basis reference
@@ -369,6 +444,17 @@ mod tests {
         let p_vcsel = Watts::from_milliwatts(3.0);
         let a = reused.evaluate(p_vcsel, Watts::ZERO, Watts::new(2.0)).unwrap();
         let b = fresh.evaluate(p_vcsel, Watts::ZERO, Watts::new(2.0)).unwrap();
+        assert_outcomes_agree(&a, &b);
+        assert!(
+            warm_iterations < fresh.solver_iterations(),
+            "adopted engine must warm-start: {warm_iterations} vs fresh {}",
+            fresh.solver_iterations()
+        );
+    }
+
+    /// Asserts two outcomes agree per ONI to the 1e-5 °C bound warm-vs-cold
+    /// studies are held to.
+    fn assert_outcomes_agree(a: &ThermalOutcome, b: &ThermalOutcome) {
         for (x, y) in a.oni.iter().zip(&b.oni) {
             assert!(
                 (x.average.value() - y.average.value()).abs() < 1e-5,
@@ -376,12 +462,58 @@ mod tests {
                 x.average,
                 y.average
             );
+            assert!((x.gradient.value() - y.gradient.value()).abs() < 1e-5);
         }
-        assert!(
-            warm_iterations < fresh.solver_iterations(),
-            "adopted engine must warm-start: {warm_iterations} vs fresh {}",
-            fresh.solver_iterations()
-        );
+    }
+
+    #[test]
+    fn power_only_reconfigure_keeps_the_basis_and_matches_fresh() {
+        let sim = Simulator::new();
+        let base = SccConfig::tiny_test();
+        let study = ThermalStudy::new(base.clone(), &sim).unwrap();
+        let cold_iterations = study.solver_iterations();
+
+        // P_VCSEL, P_heater and P_chip all move: the held basis answers
+        // without a single CG iteration.
+        let (p_vcsel, p_heater, p_chip) =
+            (Watts::from_milliwatts(4.2), Watts::from_milliwatts(1.3), Watts::new(3.5));
+        let powered = SccConfig { p_vcsel, p_driver: Some(p_vcsel), p_heater, p_chip, ..base };
+        let reused = study.reconfigured(powered.clone(), &sim).unwrap();
+        assert_eq!(reused.solver_iterations(), cold_iterations, "power-only re-target solved");
+
+        // The fresh study's chip reference is the new P_chip, the reused
+        // one keeps the old: linearity makes them agree.
+        let fresh = ThermalStudy::new(powered, &sim).unwrap();
+        let a = reused.evaluate(p_vcsel, p_heater, p_chip).unwrap();
+        let b = fresh.evaluate(p_vcsel, p_heater, p_chip).unwrap();
+        assert_outcomes_agree(&a, &b);
+    }
+
+    #[test]
+    fn option_and_activity_changes_still_resolve() {
+        use vcsel_arch::Activity;
+        let sim = Simulator::new();
+        let base = SccConfig::tiny_test();
+        let study = ThermalStudy::new(base.clone(), &sim).unwrap();
+        let cold_iterations = study.solver_iterations();
+
+        // Same design, tighter tolerance: the basis must be re-solved to it.
+        let tighter =
+            Simulator::new().with_options(SolveOptions { tolerance: 1e-11, ..*sim.options() });
+        let retuned = study.reconfigured(base.clone(), &tighter).unwrap();
+        let tuned_iterations = retuned.solver_iterations();
+        assert!(tuned_iterations > cold_iterations, "new solver options must re-solve");
+
+        // Same options, new activity pattern: a new chip column.
+        let diagonal = SccConfig { activity: Activity::Diagonal, ..base };
+        let repainted = retuned.reconfigured(diagonal.clone(), &tighter).unwrap();
+        assert!(repainted.solver_iterations() > tuned_iterations, "new activity must re-solve");
+
+        let fresh = ThermalStudy::new(diagonal, &tighter).unwrap();
+        let (p_vcsel, p_chip) = (Watts::from_milliwatts(3.0), Watts::new(2.0));
+        let a = repainted.evaluate(p_vcsel, Watts::ZERO, p_chip).unwrap();
+        let b = fresh.evaluate(p_vcsel, Watts::ZERO, p_chip).unwrap();
+        assert_outcomes_agree(&a, &b);
     }
 
     #[test]

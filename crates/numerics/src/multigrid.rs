@@ -132,15 +132,14 @@ pub struct MultigridConfig {
     /// V-cycles: an F-cycle is not symmetric, and CG requires an SPD
     /// preconditioner.
     pub cycle: CycleKind,
-    /// Thread the cycle hot paths on levels large enough to amortize
-    /// spawn cost (above [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`] stored
-    /// non-zeros): residual and transfer SpMVs row-partition across
-    /// workers, and SSOR smoothers switch to the band-parallel additive
-    /// block variant ([`Ssor::shared_banded`]). Levels below the threshold
-    /// always run the bitwise-deterministic serial path regardless of this
-    /// flag, so test-scale meshes are unaffected. Set `false` to force the
-    /// serial path everywhere — the A/B baseline `perf_record` measures
-    /// the V-cycle threading win against.
+    /// Thread the residual and transfer SpMVs on levels large enough to
+    /// amortize spawn cost (above [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`]
+    /// stored non-zeros) by row-partitioning them across workers. The
+    /// threaded SpMV is bitwise-identical to the serial one, and the level
+    /// smoothers always sweep serially, so the V-cycle — fields and CG
+    /// iteration counts — is the same on every worker count. Set `false`
+    /// to force serial SpMVs everywhere — the A/B baseline `perf_record`
+    /// measures the V-cycle threading win against.
     pub parallel_sweeps: bool,
 }
 
@@ -895,11 +894,9 @@ fn prolong_correct(parallel: bool, p: &CsrMatrix, coarse_x: &[f64], cur: &mut Le
 }
 
 /// Builds one level's relaxation operator, sharing the level matrix with
-/// the smoother. SSOR smoothers honour `config.parallel_sweeps` through
-/// [`Ssor::auto_bands`]: serial (one band) below the SpMV size gate,
-/// band-parallel block-SSOR above it. Jacobi's application threads
-/// internally (bitwise-identically) whatever the flag says, so no banding
-/// decision arises.
+/// the smoother. SSOR smoothers sweep serially (one exact sweep on every
+/// worker count); Jacobi's application threads internally, and
+/// bitwise-identically, so neither depends on `config.parallel_sweeps`.
 fn build_smoother(
     a: &Arc<CsrMatrix>,
     config: &MultigridConfig,
@@ -907,8 +904,7 @@ fn build_smoother(
     Ok(match config.smoother {
         SmootherKind::DampedJacobi { omega } => (AnyPreconditioner::Jacobi(Jacobi::new(a)?), omega),
         SmootherKind::Ssor { omega } => {
-            let bands = if config.parallel_sweeps { Ssor::auto_bands(a) } else { 1 };
-            (AnyPreconditioner::Ssor(Ssor::shared_banded(Arc::clone(a), omega, bands)?), 1.0)
+            (AnyPreconditioner::Ssor(Ssor::shared(Arc::clone(a), omega)?), 1.0)
         }
     })
 }

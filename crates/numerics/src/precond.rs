@@ -710,33 +710,18 @@ impl Preconditioner for IncompleteCholesky {
 /// Needs no factorization — the two triangular solves run directly on `A`,
 /// held behind an [`Arc`] so a solve engine, a multigrid level and this
 /// preconditioner can all reference **one** copy of the operator — and
-/// sits between Jacobi and IC(0) in strength.
-///
-/// # Band-parallel variant
-///
-/// Triangular solves are inherently sequential, so the exact SSOR sweep
-/// cannot be threaded. [`Ssor::shared_banded`] instead partitions the rows
-/// into contiguous nnz-balanced bands (the same partition as
-/// [`CsrMatrix::mul_vec_into_threaded`]) and applies the SSOR splitting of
-/// each band's *diagonal block* independently — additive block-SSOR.
-/// Couplings that cross a band boundary are dropped from `M` (never from
-/// `A`), which keeps `M` block-diagonal with SPD blocks: still a legal CG
-/// preconditioner, marginally weaker than exact SSOR, and each band solves
-/// on its own thread. With one band the sweep is bitwise-identical to the
-/// classic serial SSOR.
+/// sits between Jacobi and IC(0) in strength. The sweep is serial, so its
+/// result is the same on every worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Ssor {
     a: Arc<CsrMatrix>,
     diag: Vec<f64>,
     omega: f64,
-    /// `bands + 1` ascending row boundaries; two entries = exact serial
-    /// SSOR, more = additive block-SSOR solved band-parallel.
-    band_bounds: Vec<usize>,
 }
 
 impl Ssor {
-    /// Builds the exact (serial, single-band) SSOR splitting of `a` with
-    /// relaxation factor `omega`, cloning the operator.
+    /// Builds the SSOR splitting of `a` with relaxation factor `omega`,
+    /// cloning the operator.
     ///
     /// # Errors
     ///
@@ -748,37 +733,16 @@ impl Ssor {
     }
 
     /// Like [`Ssor::new`] but sharing an already-owned operator instead of
-    /// cloning it — the form the cached solve engines use.
+    /// cloning it — the form the cached solve engines and multigrid levels
+    /// use.
     ///
     /// # Errors
     ///
     /// Same contract as [`Ssor::new`].
     pub fn shared(a: Arc<CsrMatrix>, omega: f64) -> Result<Self, NumericsError> {
-        Self::shared_banded(a, omega, 1)
-    }
-
-    /// Builds the additive block-SSOR splitting over `bands` contiguous
-    /// nnz-balanced row bands, each applied on its own thread (see the
-    /// type-level docs). `bands = 1` is the exact serial sweep; the band
-    /// count is clamped to the row count.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Ssor::new`], plus [`NumericsError::BadInput`] for
-    /// `bands = 0`.
-    pub fn shared_banded(
-        a: Arc<CsrMatrix>,
-        omega: f64,
-        bands: usize,
-    ) -> Result<Self, NumericsError> {
         if !(omega > 0.0 && omega < 2.0) {
             return Err(NumericsError::BadInput {
                 reason: format!("SSOR relaxation factor must be in (0,2), got {omega}"),
-            });
-        }
-        if bands == 0 {
-            return Err(NumericsError::BadInput {
-                reason: "block-SSOR needs at least one band".into(),
             });
         }
         if a.rows() != a.cols() {
@@ -787,56 +751,36 @@ impl Ssor {
             });
         }
         let diag = checked_diagonal(&a)?;
-        let band_bounds = a.nnz_balanced_rows(bands.min(a.rows()).max(1));
-        Ok(Self { a, diag, omega, band_bounds })
+        Ok(Self { a, diag, omega })
     }
 
-    /// The band count the *auto* policy picks for `a`: one (exact serial
-    /// SSOR) below [`CsrMatrix::PARALLEL_NNZ_THRESHOLD`] stored non-zeros
-    /// — so small systems keep bitwise-deterministic sweeps — and the
-    /// hardware thread count (capped like the threaded SpMV) above it.
-    pub fn auto_bands(a: &CsrMatrix) -> usize {
-        if a.nnz() < CsrMatrix::PARALLEL_NNZ_THRESHOLD {
-            1
-        } else {
-            hardware_threads().clamp(1, CsrMatrix::MAX_SPMV_THREADS)
-        }
-    }
-
-    /// Number of independent SSOR bands (1 = exact serial sweep).
-    pub fn bands(&self) -> usize {
-        self.band_bounds.len() - 1
-    }
-
-    /// One band's forward/diagonal/backward SSOR sweep restricted to the
-    /// band's diagonal block of `A`. `z_band` is the band's slice of the
-    /// output; row/column indices are global.
-    fn apply_band(&self, start: usize, end: usize, r: &[f64], z_band: &mut [f64]) {
+    /// The forward/diagonal/backward SSOR sweep `z = M⁻¹ r`.
+    fn sweep(&self, r: &[f64], z: &mut [f64]) {
         let w = self.omega;
         let c = w * (2.0 - w);
         // (D + ωL) y = c·r (forward, y lands in z).
-        for i in start..end {
+        for i in 0..z.len() {
             let mut s = c * r[i];
             for (j, v) in self.a.row(i) {
-                if (start..i).contains(&j) {
-                    s -= w * v * z_band[j - start];
+                if j < i {
+                    s -= w * v * z[j];
                 }
             }
-            z_band[i - start] = s / self.diag[i];
+            z[i] = s / self.diag[i];
         }
         // w = D y.
-        for (zi, d) in z_band.iter_mut().zip(&self.diag[start..end]) {
+        for (zi, d) in z.iter_mut().zip(&self.diag) {
             *zi *= d;
         }
         // (D + ωLᵀ) x = w (backward, in place).
-        for i in (start..end).rev() {
-            let mut s = z_band[i - start];
+        for i in (0..z.len()).rev() {
+            let mut s = z[i];
             for (j, v) in self.a.row(i) {
-                if j > i && j < end {
-                    s -= w * v * z_band[j - start];
+                if j > i {
+                    s -= w * v * z[j];
                 }
             }
-            z_band[i - start] = s / self.diag[i];
+            z[i] = s / self.diag[i];
         }
     }
 }
@@ -846,23 +790,7 @@ impl Preconditioner for Ssor {
         let n = self.diag.len();
         assert_eq!(r.len(), n);
         assert_eq!(z.len(), n);
-        if self.bands() == 1 {
-            self.apply_band(0, n, r, z);
-            return;
-        }
-        std::thread::scope(|scope| {
-            let mut rest = z;
-            for pair in self.band_bounds.windows(2) {
-                let (start, end) = (pair[0], pair[1]);
-                let (band, tail) = rest.split_at_mut(end - start);
-                rest = tail;
-                if band.is_empty() {
-                    continue;
-                }
-                let this = &*self;
-                scope.spawn(move || this.apply_band(start, end, r, band));
-            }
-        });
+        self.sweep(r, z);
     }
 
     fn name(&self) -> &'static str {
@@ -1180,64 +1108,18 @@ mod tests {
     }
 
     #[test]
-    fn single_band_ssor_matches_legacy_serial_sweep() {
+    fn shared_ssor_matches_cloned_ssor_and_aliases_the_operator() {
         let a = std::sync::Arc::new(laplacian_1d(50));
-        let mut legacy = Ssor::new(&a, 1.3).unwrap();
-        let mut banded = Ssor::shared_banded(std::sync::Arc::clone(&a), 1.3, 1).unwrap();
-        assert_eq!(legacy.bands(), 1);
-        assert_eq!(banded.bands(), 1);
+        let mut cloned = Ssor::new(&a, 1.3).unwrap();
+        let mut shared = Ssor::shared(std::sync::Arc::clone(&a), 1.3).unwrap();
+        // Shared construction aliases the operator instead of cloning it.
+        assert_eq!(std::sync::Arc::strong_count(&a), 2);
         let r: Vec<f64> = (0..50).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut z1 = vec![0.0; 50];
         let mut z2 = vec![0.0; 50];
-        legacy.apply(&r, &mut z1);
-        banded.apply(&r, &mut z2);
-        assert_eq!(z1, z2, "one band must be the exact serial sweep");
-    }
-
-    #[test]
-    fn banded_block_ssor_is_spd_and_preconditions_cg() {
-        use crate::solver::{preconditioned_cg, CgWorkspace, SolveOptions};
-        let n = 600;
-        let a = std::sync::Arc::new(laplacian_1d(n));
-        let mut banded = Ssor::shared_banded(std::sync::Arc::clone(&a), 1.2, 4).unwrap();
-        assert_eq!(banded.bands(), 4);
-
-        // SPD: symmetry ⟨M⁻¹u, v⟩ = ⟨u, M⁻¹v⟩ and positivity of xᵀM⁻¹x.
-        let u: Vec<f64> = (0..n).map(|i| ((i * 7 % 5) as f64) - 2.0).collect();
-        let v: Vec<f64> = (0..n).map(|i| ((i * 3 % 7) as f64) - 3.0).collect();
-        let mu = apply_inverse(&mut banded, &u);
-        let mv = apply_inverse(&mut banded, &v);
-        let dot = |x: &[f64], y: &[f64]| x.iter().zip(y).map(|(a, b)| a * b).sum::<f64>();
-        assert!((dot(&mu, &v) - dot(&u, &mv)).abs() < 1e-9, "block-SSOR must stay symmetric");
-        assert!(dot(&u, &mu) > 0.0);
-
-        // As a CG preconditioner it must reach the same solution as the
-        // exact serial sweep (it is a weaker M, never a wrong one).
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64 * 0.05).sin()).collect();
-        let rhs = a.mul_vec(&x_true).unwrap();
-        let opts = SolveOptions { tolerance: 1e-12, ..Default::default() };
-        let mut solutions = Vec::new();
-        for mut m in [Ssor::new(&a, 1.2).unwrap(), banded] {
-            let mut x = vec![0.0; n];
-            let mut ws = CgWorkspace::new();
-            preconditioned_cg(&a, &rhs, &mut x, &mut m, &opts, &mut ws).expect("converges");
-            solutions.push(x);
-        }
-        for (s, b) in solutions[0].iter().zip(&solutions[1]) {
-            assert!((s - b).abs() < 1e-8, "serial {s} vs banded {b}");
-        }
-    }
-
-    #[test]
-    fn ssor_banded_validation_and_sharing() {
-        let a = std::sync::Arc::new(laplacian_1d(10));
-        assert!(Ssor::shared_banded(std::sync::Arc::clone(&a), 1.0, 0).is_err());
-        // More bands than rows is clamped, not rejected.
-        let s = Ssor::shared_banded(std::sync::Arc::clone(&a), 1.0, 64).unwrap();
-        assert!(s.bands() <= 10);
-        // Shared construction aliases the operator instead of cloning it.
-        assert_eq!(std::sync::Arc::strong_count(&a), 2);
-        assert_eq!(Ssor::auto_bands(&a), 1, "tiny operators stay serial");
+        cloned.apply(&r, &mut z1);
+        shared.apply(&r, &mut z2);
+        assert_eq!(z1, z2);
     }
 
     /// 3-D 7-point SPD stencil with mildly varying conductances — the FVM

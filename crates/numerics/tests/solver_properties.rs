@@ -235,8 +235,7 @@ proptest! {
         // serial triangular solves on random 3-D 7-point SPD stencils,
         // whatever the conductance draw. Pinning the worker count forces
         // multi-level scheduling — and real thread spawning — even on one
-        // core and even below the size gate, mirroring the forced-band
-        // block-SSOR tests.
+        // core and even below the size gate.
         let a = random_spd_stencil_3d(nx, ny, nz, &seed);
         let n = nx * ny * nz;
         let r: Vec<f64> = rhs_seed.iter().take(n).cloned().collect();

@@ -211,6 +211,15 @@ fn run_sweep(path: &str, json: bool, out: Option<&str>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
+    // Root span drops at the end of `run`, then the trace flushes
+    // (`finish_global` is a no-op unless VCSEL_TRACE is set).
+    let code = run();
+    vcsel_telemetry::finish_global("onoc_dse");
+    code
+}
+
+fn run() -> ExitCode {
+    let _root = vcsel_telemetry::global().span("report", "onoc_dse");
     let args = match parse_args() {
         Ok(a) => a,
         Err(msg) => {
