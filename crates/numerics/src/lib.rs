@@ -17,10 +17,8 @@
 //!   own their matrix behind an [`std::sync::Arc`] build through
 //!   [`PreconditionerKind::build_shared`], so the operator-holding
 //!   preconditioners alias the caller's allocation instead of cloning it.
-//!   IC(0) analyzes its factor into dependency levels at factorization
-//!   time and applies the two triangular solves as level-scheduled
-//!   (wavefront) parallel sweeps on large systems — bitwise-deterministic
-//!   for every worker count, exact-serial below the SpMV size gate,
+//!   IC(0) applies its two triangular solves as one exact serial sweep,
+//!   so its output depends only on the matrix, never on the worker count,
 //! * [`block_solver`]: multi-RHS block CG — k independent recurrences in
 //!   lockstep over a [`BlockVector`] bundle, one operator stream per
 //!   iteration shared by every active column, converged columns deflated
@@ -81,8 +79,7 @@ pub use multigrid::{
 };
 pub use optimize::{golden_section_min, grid_argmin, Minimum};
 pub use precond::{
-    AnyPreconditioner, IncompleteCholesky, Jacobi, LevelScheduleStats, Preconditioner,
-    PreconditionerKind, Ssor,
+    AnyPreconditioner, IncompleteCholesky, Jacobi, Preconditioner, PreconditionerKind, Ssor,
 };
 pub use sparse::{hardware_threads, CsrMatrix, TripletBuilder};
 pub use stats::Summary;

@@ -8,7 +8,9 @@
 //! preconditioner and the warm-start path agree with the one-shot solver).
 
 use vcsel_arch::{SccConfig, SccSystem};
-use vcsel_thermal::{PreconditionerKind, Simulator, SolveContext, TransientStepper};
+use vcsel_thermal::{
+    MultigridConfig, PreconditionerKind, Simulator, SolveContext, TransientStepper,
+};
 use vcsel_units::{Celsius, Watts};
 
 fn tiny_system() -> (SccSystem, vcsel_thermal::MeshSpec) {
@@ -62,35 +64,39 @@ fn cached_engine_matches_the_one_shot_simulator_on_the_scc_system() {
 
 #[test]
 fn threaded_and_serial_transient_steppers_agree_on_the_scc_mesh() {
-    // The 200-step transient of `BENCH_solvers.json` runs two IC(0)
-    // triangular solves inside every CG iteration; the level-scheduled
-    // (wavefront) parallel apply must not move the trajectory. Pinning the
-    // worker count forces the threaded path even on a single-core machine,
-    // so this pins serial-vs-parallel agreement on the real case-study
-    // system, not just on synthetic stencils.
+    // IC(0) applies are serial, so the only threaded kernels left in a
+    // transient step are the multigrid transfer/residual SpMVs that
+    // `parallel_sweeps` governs. A row-partitioned SpMV computes every row
+    // exactly as the serial kernel does, so switching it on must not move
+    // the trajectory or the CG iteration counts on the real case-study
+    // system.
     let (system, spec) = tiny_system();
     let design = system.design();
     let groups: Vec<String> = design.group_names().iter().map(|g| g.to_string()).collect();
     let scales: Vec<(&str, f64)> = groups.iter().map(|g| (g.as_str(), 1.0)).collect();
+    let stepper = |parallel_sweeps: bool| {
+        let config = MultigridConfig { parallel_sweeps, ..MultigridConfig::default() };
+        TransientStepper::new(design, &spec, Celsius::new(40.0), 1e-2)
+            .expect("stepper builds")
+            .with_preconditioner(PreconditionerKind::Multigrid { config })
+            .expect("multigrid builds")
+    };
 
-    let mut serial = TransientStepper::new(design, &spec, Celsius::new(40.0), 1e-2)
-        .expect("stepper builds")
-        .with_parallel_apply(false);
-    let mut wavefront = TransientStepper::new(design, &spec, Celsius::new(40.0), 1e-2)
-        .expect("stepper builds")
-        .with_apply_threads(4);
+    let mut serial = stepper(false);
+    let mut threaded = stepper(true);
     for _ in 0..10 {
         serial.step(&scales).expect("serial step");
-        wavefront.step(&scales).expect("wavefront step");
+        threaded.step(&scales).expect("threaded step");
     }
-    let (hot_s, hot_w) =
-        (serial.snapshot().hottest().1.value(), wavefront.snapshot().hottest().1.value());
-    assert!((hot_s - hot_w).abs() < 1e-6, "serial {hot_s} vs level-scheduled {hot_w}");
+    assert!(serial.total_iterations() > 0, "the steps must actually iterate");
     assert_eq!(
         serial.total_iterations(),
-        wavefront.total_iterations(),
+        threaded.total_iterations(),
         "identical preconditioner arithmetic must give identical CG trajectories"
     );
+    for (s, t) in serial.snapshot().temperatures().iter().zip(threaded.snapshot().temperatures()) {
+        assert_eq!(s, t, "threaded SpMVs moved the field: serial {s} vs threaded {t}");
+    }
 }
 
 #[test]
