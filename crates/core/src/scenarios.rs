@@ -639,7 +639,7 @@ pub fn catalogue() -> Vec<Scenario> {
             events: vec![],
             pins: MetricPins {
                 peak_c: (44.0, 56.0),
-                max_cg_iterations: 20_000,
+                max_cg_iterations: 3_000,
                 max_over_limit_steps: 0,
                 ..MetricPins::default()
             },
@@ -655,7 +655,7 @@ pub fn catalogue() -> Vec<Scenario> {
             events: vec![FaultEvent { at_step: 10, kind: FaultKind::VcselDeath { oni: 1 } }],
             pins: MetricPins {
                 peak_c: (44.0, 56.0),
-                max_cg_iterations: 20_000,
+                max_cg_iterations: 4_000,
                 require_remap: true,
                 min_remap_gain_db: 0.0,
                 max_over_limit_steps: 0,
@@ -673,7 +673,7 @@ pub fn catalogue() -> Vec<Scenario> {
             events: vec![FaultEvent { at_step: 8, kind: FaultKind::HeaterStuckOff { oni: 0 } }],
             pins: MetricPins {
                 peak_c: (44.0, 56.0),
-                max_cg_iterations: 20_000,
+                max_cg_iterations: 4_000,
                 require_remap: true,
                 max_over_limit_steps: 0,
                 ..MetricPins::default()
@@ -693,7 +693,7 @@ pub fn catalogue() -> Vec<Scenario> {
             ],
             pins: MetricPins {
                 peak_c: (44.0, 58.0),
-                max_cg_iterations: 24_000,
+                max_cg_iterations: 7_000,
                 ..MetricPins::default()
             },
         },
@@ -712,7 +712,7 @@ pub fn catalogue() -> Vec<Scenario> {
             ],
             pins: MetricPins {
                 peak_c: (44.0, 62.0),
-                max_cg_iterations: 24_000,
+                max_cg_iterations: 6_000,
                 max_over_limit_steps: 0,
                 ..MetricPins::default()
             },
@@ -733,7 +733,7 @@ pub fn catalogue() -> Vec<Scenario> {
             ],
             pins: MetricPins {
                 peak_c: (44.0, 58.0),
-                max_cg_iterations: 64_000,
+                max_cg_iterations: 57_000,
                 require_remap: true,
                 min_remap_gain_db: 0.0,
                 min_escalations: 1,

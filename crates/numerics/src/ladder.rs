@@ -267,13 +267,6 @@ impl SolveLadder {
         &self.telemetry
     }
 
-    /// The initial guess captured at the start of the most recent solve —
-    /// what `x` held before any rung touched it. Steppers use it to roll
-    /// their state back when even the last rung fails.
-    pub fn saved_guess(&self) -> &[f64] {
-        &self.saved_guess
-    }
-
     /// Corrupts the active rung's preconditioner apply (an
     /// order-reversing, sign-alternating `CorruptApply` wrapper) until
     /// [`clear_apply_faults`](SolveLadder::clear_apply_faults) is called.

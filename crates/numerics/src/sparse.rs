@@ -317,9 +317,11 @@ impl CsrMatrix {
     /// so more threads than memory channels only add spawn overhead.
     pub const MAX_SPMV_THREADS: usize = 8;
 
-    /// Computes `y = A * x` with `threads` scoped workers, each owning a
-    /// contiguous, nnz-balanced band of rows (disjoint slices of `y`, so
-    /// no synchronisation is needed beyond the scope join).
+    /// Computes `y = A * x` with `threads` scoped workers (at most
+    /// [`Self::MAX_SPMV_THREADS`]), each owning a contiguous, nnz-balanced
+    /// band of rows (disjoint slices of `y`, so no synchronisation is
+    /// needed beyond the scope join). The band bounds live on the stack:
+    /// the kernel runs once per CG iteration and allocates nothing.
     ///
     /// # Panics
     ///
@@ -328,13 +330,15 @@ impl CsrMatrix {
         assert_eq!(x.len(), self.cols);
         assert_eq!(y.len(), self.rows);
         assert!(threads > 0, "need at least one worker thread");
-        let threads = threads.min(self.rows.max(1));
+        let threads = threads.min(self.rows.max(1)).min(Self::MAX_SPMV_THREADS);
         if threads == 1 {
             self.mul_vec_into(x, y);
             return;
         }
 
-        let bounds = self.nnz_balanced_rows(threads);
+        let mut storage = [0usize; Self::MAX_SPMV_THREADS + 1];
+        let bounds = &mut storage[..=threads];
+        self.fill_nnz_balanced_rows(bounds);
 
         std::thread::scope(|scope| {
             let mut rest = y;
@@ -371,16 +375,23 @@ impl CsrMatrix {
     /// Panics if `bands` is zero.
     pub fn nnz_balanced_rows(&self, bands: usize) -> Vec<usize> {
         assert!(bands > 0, "need at least one band");
+        let mut bounds = vec![0usize; bands + 1];
+        self.fill_nnz_balanced_rows(&mut bounds);
+        bounds
+    }
+
+    /// Writes [`CsrMatrix::nnz_balanced_rows`]`(bounds.len() - 1)` into
+    /// `bounds` (at least two entries) without allocating.
+    fn fill_nnz_balanced_rows(&self, bounds: &mut [usize]) {
+        let bands = bounds.len() - 1;
         let total = self.nnz();
-        let mut bounds = Vec::with_capacity(bands + 1);
-        bounds.push(0usize);
+        bounds[0] = 0;
         for t in 1..bands {
             let target = total * t / bands;
             let row = self.row_ptr.partition_point(|&p| p < target).min(self.rows);
-            bounds.push(row.max(*bounds.last().expect("non-empty")));
+            bounds[t] = row.max(bounds[t - 1]);
         }
-        bounds.push(self.rows);
-        bounds
+        bounds[bands] = self.rows;
     }
 
     /// Computes `Y = A * X` for a k-column block in **one sweep** of the

@@ -37,24 +37,6 @@ use vcsel_units::{Celsius, Meters};
 use crate::assembly::{self, BoundaryFace};
 use crate::{Design, Mesh, MeshSpec, SolveHealth, ThermalError, ThermalMap};
 
-/// Factors the preferred preconditioner for an SPD FVM system, falling back
-/// to Jacobi if the requested factorization breaks down (IC(0) cannot fail
-/// on the M-matrices our assembly produces, but a fallback keeps the engine
-/// total for exotic user matrices). The one-shot [`TransientSimulator`]
-/// (crate::TransientSimulator) still uses this directly; the cached engines
-/// get the same behaviour — plus runtime escalation — from their
-/// [`SolveLadder`].
-pub(crate) fn factor_preconditioner(
-    a: &CsrMatrix,
-    kind: PreconditionerKind,
-) -> Result<AnyPreconditioner, NumericsError> {
-    match kind.build(a) {
-        Ok(p) => Ok(p),
-        Err(_) if kind != PreconditionerKind::Jacobi => PreconditionerKind::Jacobi.build(a),
-        Err(e) => Err(e),
-    }
-}
-
 /// The escalation chain a ladder-backed engine runs for a preferred
 /// preconditioner `kind`: the kind itself, then progressively cheaper,
 /// sturdier rungs down to Jacobi — which only needs the positive diagonal

@@ -37,15 +37,23 @@ pub struct SolveHealth {
 impl SolveHealth {
     /// Builds the report from a ladder solve's summary and attempt log.
     pub fn from_ladder(summary: LadderSummary, attempts: &[RungAttempt]) -> Self {
-        Self {
-            converged: summary.converged,
-            recovered: summary.converged && summary.escalations > 0,
-            iterations: summary.iterations,
-            total_iterations: summary.total_iterations,
-            residual: summary.residual,
-            escalations: summary.escalations,
-            attempts: attempts.to_vec(),
-        }
+        let mut health = Self::default();
+        health.refresh(summary, attempts);
+        health
+    }
+
+    /// Overwrites the report with a new solve's outcome, reusing the
+    /// attempt log's allocation — the per-step path of the transient
+    /// stepper.
+    pub(crate) fn refresh(&mut self, summary: LadderSummary, attempts: &[RungAttempt]) {
+        self.converged = summary.converged;
+        self.recovered = summary.converged && summary.escalations > 0;
+        self.iterations = summary.iterations;
+        self.total_iterations = summary.total_iterations;
+        self.residual = summary.residual;
+        self.escalations = summary.escalations;
+        self.attempts.clear();
+        self.attempts.extend_from_slice(attempts);
     }
 
     /// `true` when the solve converged on its first attempt with no

@@ -1,22 +1,32 @@
 //! Stateful transient stepping with time-varying group powers.
 //!
-//! [`TransientSimulator`](crate::TransientSimulator) integrates a *fixed*
-//! power map from a uniform initial condition — enough for step responses,
-//! but closed-loop studies (feedback heater control, activity migration)
-//! need to change the injected powers **between steps** while carrying the
-//! temperature field forward. [`TransientStepper`] factors the backward-
-//! Euler scheme accordingly: the conduction matrix, capacity and boundary
-//! terms are assembled once; each [`TransientStepper::step`] takes a set of
-//! power-group scale factors (relative to the design's reference powers,
-//! exactly like [`ResponseBasis::compose`](crate::ResponseBasis::compose))
-//! and advances the field by one Δt.
+//! Closed-loop studies (feedback heater control, activity migration, the
+//! fault scenarios) need to change the injected powers **between steps**
+//! while carrying the temperature field forward. [`TransientStepper`]
+//! factors the backward-Euler scheme accordingly: the conduction matrix,
+//! capacity and boundary terms are assembled once; each
+//! [`TransientStepper::step`] takes a set of power-group scale factors
+//! (relative to the design's reference powers, exactly like
+//! [`ResponseBasis::compose`](crate::ResponseBasis::compose)) and advances
+//! the field by one Δt. [`TransientSimulator`](crate::TransientSimulator)
+//! is a thin fixed-power wrapper over it.
 //!
 //! The `A + C/Δt` system is SPD and constant, so [`TransientStepper::new`]
 //! factors its IC(0) preconditioner exactly once; every step reuses that
-//! factorization, a held right-hand-side buffer and CG workspace (zero
-//! per-step allocations) and warm-starts from the current field.
+//! factorization, a held right-hand-side buffer and CG workspace.
+//!
+//! Each step's CG starts from the Galerkin projection of the new
+//! right-hand side onto the last five accepted fields (successive
+//! right-hand-side projection; Fischer, "Projection techniques for
+//! iterative solution of Ax = b with successive right-hand sides", CMAME
+//! 163, 1998). The window is A-orthonormalised with modified Gram–Schmidt
+//! in the `A + C/Δt` inner product, so the start `x₀ = Q Qᵀ b` is the
+//! A-norm-optimal guess in its span. That span contains the previous
+//! field `T_n`, so the start is never worse (in the A-norm) than
+//! warm-starting from `T_n` alone, which is what the first step does.
+//! Once the window is full, a step allocates nothing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use vcsel_numerics::solver::{CgWorkspace, SolveOptions};
@@ -27,6 +37,121 @@ use vcsel_units::{Celsius, Meters};
 use crate::assembly::{self, BoundaryFace};
 use crate::context::escalation_chain;
 use crate::{Design, Mesh, MeshSpec, PowerSchedule, SolveHealth, ThermalError, ThermalMap};
+
+/// Accepted fields the start-guess projection spans.
+const WINDOW: usize = 5;
+
+/// A window direction whose A-norm Gram–Schmidt reduces below this
+/// fraction of its original A-norm is collinear with the newer fields to
+/// working precision and is dropped from the basis.
+const COLLINEAR_TOL: f64 = 1e-10;
+
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// The last [`WINDOW`] accepted fields (newest first, so the front is
+/// always `T_n`) plus the scratch the projection works in: one basis
+/// buffer per field and one operator image — at most `2·WINDOW + 1`
+/// field-sized vectors, all recycled once the window is full.
+#[derive(Debug, Clone)]
+struct FieldWindow {
+    fields: VecDeque<Vec<f64>>,
+    basis: Vec<Vec<f64>>,
+    image: Vec<f64>,
+}
+
+impl FieldWindow {
+    /// A window holding only the initial field.
+    fn new(initial: &[f64]) -> Self {
+        let mut window = Self {
+            fields: VecDeque::with_capacity(WINDOW),
+            basis: Vec::with_capacity(WINDOW),
+            image: vec![0.0; initial.len()],
+        };
+        window.push(initial);
+        window
+    }
+
+    /// Records an accepted field as the newest entry, recycling the
+    /// oldest entry's buffer once the window is full.
+    fn push(&mut self, field: &[f64]) {
+        let recycled = if self.fields.len() == WINDOW { self.fields.pop_back() } else { None };
+        match recycled {
+            Some(mut buffer) => {
+                buffer.copy_from_slice(field);
+                self.fields.push_front(buffer);
+            }
+            None => {
+                self.fields.push_front(field.to_vec());
+                self.basis.push(vec![0.0; field.len()]);
+            }
+        }
+    }
+
+    /// Copies the newest accepted field, `T_n`, into `x`.
+    fn restore_newest(&self, x: &mut [f64]) {
+        if let Some(newest) = self.fields.front() {
+            x.copy_from_slice(newest);
+        }
+    }
+
+    /// Overwrites `x` with the Galerkin start `Q Qᵀ b` for `a x = b`,
+    /// where `Q` is the window A-orthonormalised newest-first by modified
+    /// Gram–Schmidt, and returns the number of directions kept. With fewer
+    /// than two fields it leaves `x` alone and returns 0.
+    ///
+    /// The Gram–Schmidt runs row-oriented: once direction `i` is
+    /// normalised, its image `A q_i` gives the coefficients that remove it
+    /// from every older direction, so the whole pass costs one SpMV per
+    /// field and needs no stored images. Each direction's original A-norm
+    /// is its final pivot plus the squares of the coefficients removed
+    /// from it (Pythagoras in the A-norm), which is what the collinearity
+    /// test compares against.
+    fn project(&mut self, a: &CsrMatrix, b: &[f64], x: &mut [f64]) -> usize {
+        let m = self.fields.len();
+        if m < 2 {
+            return 0;
+        }
+        for (q, field) in self.basis.iter_mut().zip(&self.fields) {
+            q.copy_from_slice(field);
+        }
+        let mut removed = [0.0f64; WINDOW];
+        let mut kept = [false; WINDOW];
+        for i in 0..m {
+            let (done, rest) = self.basis.split_at_mut(i + 1);
+            let q = &mut done[i];
+            a.multiply_into(q, &mut self.image);
+            let pivot = dot(q, &self.image);
+            if !(pivot > COLLINEAR_TOL * COLLINEAR_TOL * (pivot + removed[i])) {
+                continue;
+            }
+            let inv = pivot.sqrt().recip();
+            for (qk, ak) in q.iter_mut().zip(self.image.iter_mut()) {
+                *qk *= inv;
+                *ak *= inv;
+            }
+            kept[i] = true;
+            for (older, lost) in rest.iter_mut().zip(&mut removed[i + 1..m]) {
+                let c = dot(&self.image, older);
+                for (ok, qk) in older.iter_mut().zip(q.iter()) {
+                    *ok -= c * qk;
+                }
+                *lost += c * c;
+            }
+        }
+        x.fill(0.0);
+        let mut rank = 0;
+        for (q, _) in self.basis.iter().zip(&kept).filter(|(_, &k)| k) {
+            let c = dot(q, b);
+            for (xk, qk) in x.iter_mut().zip(q) {
+                *xk += c * qk;
+            }
+            rank += 1;
+        }
+        rank
+    }
+}
 
 /// A backward-Euler integrator whose group powers can change every step.
 ///
@@ -71,6 +196,8 @@ pub struct TransientStepper {
     /// Reusable right-hand-side buffer (no per-step allocation).
     rhs: Vec<f64>,
     ws: CgWorkspace,
+    /// The last accepted fields, the span of each step's start guess.
+    window: FieldWindow,
     warm_start: bool,
     last_iterations: usize,
     total_iterations: usize,
@@ -147,6 +274,7 @@ impl TransientStepper {
         }
 
         let system = Arc::new(builder.build());
+        let temps = vec![initial.value(); n];
         let ladder = SolveLadder::new(
             &system,
             &escalation_chain(PreconditionerKind::IncompleteCholesky),
@@ -160,7 +288,8 @@ impl TransientStepper {
             group_power,
             capacity_over_dt,
             boundary_faces: disc.boundary_faces,
-            temps: vec![initial.value(); n],
+            window: FieldWindow::new(&temps),
+            temps,
             mesh,
             dt_s,
             steps: 0,
@@ -195,9 +324,10 @@ impl TransientStepper {
         Ok(self)
     }
 
-    /// Enables/disables warm-starting each step's CG from the current
-    /// field (builder style). On by default; disabling reproduces the
-    /// seed-era cold-start behaviour for ablation benches.
+    /// Enables/disables warm-starting each step's CG from the projection
+    /// onto the last accepted fields (builder style). On by default;
+    /// disabling starts every step from zero, the seed-era cold-start
+    /// behaviour, for ablation benches.
     #[must_use]
     pub fn with_warm_start(mut self, on: bool) -> Self {
         self.warm_start = on;
@@ -296,12 +426,6 @@ impl TransientStepper {
                 *ri += s * qi;
             }
         }
-        // The RHS above already consumed T_n, so the field buffer is free
-        // to become the solver's in/out vector: left as-is it warm-starts
-        // from T_n, zeroed it reproduces the cold-start seed behaviour.
-        if !self.warm_start {
-            self.temps.fill(0.0);
-        }
         let sink = self.ladder.telemetry().clone();
         let start_ns = vcsel_telemetry::now_ns();
         let timer = std::time::Instant::now();
@@ -309,13 +433,25 @@ impl TransientStepper {
             let mut span = sink.span("thermal", "transient_step");
             span.arg("step", ArgValue::U64(self.steps as u64));
             span.arg("unknowns", ArgValue::U64(self.temps.len() as u64));
-            self.ladder.solve(
-                &self.system,
-                &self.rhs,
-                &mut self.temps,
-                &self.options,
-                &mut self.ws,
-            )?
+            // The RHS above already consumed T_n, and the window holds it,
+            // so the field buffer is free to become the solver's in/out
+            // vector: the projected start under warm starts, zeroed for
+            // the cold-start seed behaviour.
+            let window = if self.warm_start {
+                self.window.project(&self.system, &self.rhs, &mut self.temps)
+            } else {
+                self.temps.fill(0.0);
+                0
+            };
+            span.arg("window", ArgValue::U64(window as u64));
+            self.ladder.solve(&self.system, &self.rhs, &mut self.temps, &self.options, &mut self.ws)
+        };
+        let summary = match summary {
+            Ok(summary) => summary,
+            Err(err) => {
+                self.window.restore_newest(&mut self.temps);
+                return Err(err.into());
+            }
         };
         if sink.is_enabled() {
             let mut sample = self.ladder.telemetry_sample(&summary, &self.ws);
@@ -327,19 +463,20 @@ impl TransientStepper {
         }
         self.last_iterations = summary.iterations;
         self.total_iterations += summary.total_iterations;
-        self.health = SolveHealth::from_ladder(summary, self.ladder.attempts());
+        self.health.refresh(summary, self.ladder.attempts());
         if !summary.converged {
-            // Roll the field back to the pre-solve guess (the previous
-            // field under warm starts, the default) and refuse to advance:
+            // Roll the field back to T_n, the newest window entry (the
+            // ladder only saw the projected start) and refuse to advance:
             // a failed step must never smuggle a bad iterate into the
-            // trajectory.
-            self.temps.copy_from_slice(self.ladder.saved_guess());
+            // trajectory or the window.
+            self.window.restore_newest(&mut self.temps);
             return Err(ThermalError::Solver(NumericsError::NoConvergence {
                 iterations: summary.iterations,
                 residual: summary.residual,
                 tolerance: self.options.tolerance,
             }));
         }
+        self.window.push(&self.temps);
         self.steps += 1;
         Ok(())
     }
@@ -376,6 +513,15 @@ impl TransientStepper {
     /// field; injected power is reported as 0 since it varies per step).
     pub fn snapshot(&self) -> ThermalMap {
         ThermalMap::new(self.mesh.clone(), self.temps.clone(), self.boundary_faces.clone(), 0.0)
+    }
+
+    /// Consumes the stepper into a [`ThermalMap`] of the current field
+    /// that reports the design's full reference power as injected — what
+    /// every step dissipates with each group at scale 1.
+    pub(crate) fn into_reference_map(self) -> ThermalMap {
+        let injected = self.static_power.iter().sum::<f64>()
+            + self.group_power.values().map(|q| q.iter().sum::<f64>()).sum::<f64>();
+        ThermalMap::new(self.mesh, self.temps, self.boundary_faces, injected)
     }
 }
 
@@ -533,6 +679,84 @@ mod tests {
             seed.total_iterations()
         );
         assert!(engine.last_iterations() <= engine.total_iterations());
+    }
+
+    /// A 1-D Laplacian with a diagonal shift: small, SPD, well scaled.
+    fn shifted_laplacian(n: usize) -> CsrMatrix {
+        let mut b = TripletBuilder::new(n, n);
+        for i in 0..n {
+            b.add(i, i, 3.0);
+            if i > 0 {
+                b.add(i, i - 1, -1.0);
+            }
+            if i + 1 < n {
+                b.add(i, i + 1, -1.0);
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn projection_recovers_a_solution_in_the_window_span() {
+        // Galerkin exactness: when the solution lies in the span of the
+        // window, the start Q Qᵀ b is that solution.
+        let n = 40;
+        let a = shifted_laplacian(n);
+        let fields: Vec<Vec<f64>> = (1..=3)
+            .map(|k| (0..n).map(|i| ((k * i) as f64 * 0.37).sin() + k as f64).collect())
+            .collect();
+        let mut window = FieldWindow::new(&fields[0]);
+        window.push(&fields[1]);
+        window.push(&fields[2]);
+        let want: Vec<f64> =
+            (0..n).map(|i| 0.3 * fields[0][i] - 1.2 * fields[1][i] + 2.0 * fields[2][i]).collect();
+        let b = a.mul_vec(&want).unwrap();
+        let mut x = vec![0.0; n];
+        assert_eq!(window.project(&a, &b, &mut x), 3);
+        for (got, want) in x.iter().zip(&want) {
+            assert!((got - want).abs() < 1e-9 * want.abs().max(1.0), "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn single_fields_keep_the_start_and_repeats_add_no_direction() {
+        let n = 40;
+        let a = shifted_laplacian(n);
+        let field: Vec<f64> = (0..n).map(|i| 40.0 + (i as f64 * 0.2).cos()).collect();
+        let b = a.mul_vec(&field).unwrap();
+        let mut window = FieldWindow::new(&field);
+        let mut x = vec![7.0; n];
+        assert_eq!(window.project(&a, &b, &mut x), 0, "one field: the start is left alone");
+        assert!(x.iter().all(|&v| v == 7.0));
+        window.push(&field);
+        assert_eq!(window.project(&a, &b, &mut x), 1, "a repeated field is collinear");
+        for (got, want) in x.iter().zip(&field) {
+            assert!((got - want).abs() < 1e-12 * want.abs(), "{got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn a_full_window_recycles_its_buffers() {
+        let n = 16;
+        let held = |w: &FieldWindow| {
+            let mut ptrs: Vec<usize> =
+                w.fields.iter().chain(&w.basis).map(|v| v.as_ptr() as usize).collect();
+            ptrs.sort_unstable();
+            ptrs
+        };
+        let mut window = FieldWindow::new(&vec![0.0; n]);
+        for k in 1..WINDOW {
+            window.push(&vec![k as f64; n]);
+        }
+        let full = held(&window);
+        assert_eq!(full.len(), 2 * WINDOW);
+        for k in WINDOW..3 * WINDOW {
+            window.push(&vec![k as f64; n]);
+        }
+        assert_eq!(held(&window), full, "pushing into a full window must not allocate");
+        let mut newest = vec![0.0; n];
+        window.restore_newest(&mut newest);
+        assert_eq!(newest, vec![(3 * WINDOW - 1) as f64; n]);
     }
 
     #[test]

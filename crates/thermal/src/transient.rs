@@ -15,18 +15,17 @@
 //! (C/Δt + A) · T_{n+1} = (C/Δt) · T_n + b
 //! ```
 //!
-//! The `A + C/Δt` matrix is SPD and *constant across the whole
-//! trajectory*, so the integrator factors its IC(0) preconditioner exactly
-//! once, keeps one scratch workspace, and warm-starts every step's CG from
-//! the previous field — each step is then a handful of iterations instead
-//! of a full cold solve.
+//! [`TransientSimulator`] integrates a *fixed* power map from a uniform
+//! initial condition — step responses — and is a thin wrapper over the
+//! one transient engine, [`TransientStepper`], run with every power group
+//! at scale 1. The stepper factors the constant, SPD `A + C/Δt` matrix's
+//! IC(0) preconditioner exactly once and starts every step's CG from the
+//! Galerkin projection onto the last accepted fields.
 
-use vcsel_numerics::solver::{self, CgWorkspace, SolveOptions};
-use vcsel_numerics::{PreconditionerKind, TripletBuilder};
+use vcsel_numerics::solver::SolveOptions;
 use vcsel_units::{Celsius, Meters};
 
-use crate::context::factor_preconditioner;
-use crate::{assembly, Design, Mesh, MeshSpec, ThermalError, ThermalMap};
+use crate::{Design, Mesh, MeshSpec, ThermalError, ThermalMap, TransientStepper};
 
 /// A probed transient trace.
 #[derive(Debug, Clone)]
@@ -126,71 +125,31 @@ impl TransientSimulator {
         steps: usize,
         probes: &[[Meters; 3]],
     ) -> Result<TransientTrace, ThermalError> {
-        if !(dt_s > 0.0) || !dt_s.is_finite() {
-            return Err(ThermalError::BadParameter {
-                reason: format!("time step must be positive, got {dt_s}"),
-            });
-        }
         if steps == 0 {
             return Err(ThermalError::BadParameter {
                 reason: "need at least one time step".into(),
             });
         }
-
-        let mesh = Mesh::build(design, spec)?;
-        let disc = assembly::assemble(design, &mesh)?;
-        let capacity = paint_capacity(design, &mesh);
-
-        let probe_cells: Vec<usize> = probes
-            .iter()
-            .map(|&p| {
-                mesh.locate(p).ok_or_else(|| ThermalError::BadParameter {
-                    reason: "probe lies outside the design domain".into(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-
-        // System matrix: A + C/dt (adds to the diagonal, stays SPD).
-        let n = mesh.cell_count();
-        let mut builder = TripletBuilder::with_capacity(n, n, disc.matrix.nnz() + n);
-        for (row, cap) in capacity.iter().enumerate() {
-            for (col, v) in disc.matrix.row(row) {
-                builder.add(row, col, v);
-            }
-            builder.add(row, row, cap / dt_s);
+        let mut stepper =
+            TransientStepper::new(design, spec, self.initial, dt_s)?.with_options(self.options);
+        if probes.iter().any(|&p| stepper.temperature_at(p).is_none()) {
+            return Err(ThermalError::BadParameter {
+                reason: "probe lies outside the design domain".into(),
+            });
         }
-        let system = builder.build();
-        // The matrix never changes: one IC(0) factorization serves every
-        // step, and each step warm-starts from the previous field.
-        let mut precond = factor_preconditioner(&system, PreconditionerKind::IncompleteCholesky)?;
-        let mut ws = CgWorkspace::with_capacity(n);
+        let groups: Vec<String> = stepper.groups().into_iter().map(str::to_owned).collect();
+        let scales: Vec<(&str, f64)> = groups.iter().map(|g| (g.as_str(), 1.0)).collect();
 
-        let mut temps = vec![self.initial.value(); n];
-        let mut rhs = vec![0.0; n];
         let mut times_s = Vec::with_capacity(steps);
         let mut probe_series = vec![Vec::with_capacity(steps); probes.len()];
-
-        for step in 0..steps {
-            for i in 0..n {
-                rhs[i] = disc.rhs[i] + capacity[i] / dt_s * temps[i];
-            }
-            solver::preconditioned_cg(
-                &system,
-                &rhs,
-                &mut temps,
-                &mut precond,
-                &self.options,
-                &mut ws,
-            )?
-            .require_converged(&self.options)?;
-            times_s.push(dt_s * (step + 1) as f64);
-            for (series, &cell) in probe_series.iter_mut().zip(&probe_cells) {
-                series.push(temps[cell]);
+        for _ in 0..steps {
+            stepper.step(&scales)?;
+            times_s.push(stepper.time());
+            for (series, &p) in probe_series.iter_mut().zip(probes) {
+                series.extend(stepper.temperature_at(p).map(Celsius::value));
             }
         }
-
-        let injected: f64 = disc.cell_power.iter().sum();
-        let final_map = ThermalMap::new(mesh, temps, disc.boundary_faces, injected);
+        let final_map = stepper.into_reference_map();
         Ok(TransientTrace { times_s, probes: probe_series, final_map })
     }
 }

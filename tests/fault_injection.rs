@@ -84,14 +84,20 @@ fn injected_breakdown_recovers_through_the_ladder_to_the_healthy_field() {
 #[test]
 fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
     // A single-rung strict ladder with a starvation-level iteration cap:
-    // the step must fail *loudly* and leave the trajectory untouched.
+    // the step must fail *loudly* and leave the trajectory untouched —
+    // first on the very first step, then again once the start-guess
+    // projection spans a full window of accepted fields.
     let (design, spec) = grouped_slab();
     let probe = [mm(2.0), mm(2.0), mm(0.1)];
-    let mut stepper = TransientStepper::new(&design, &spec, Celsius::new(40.0), 1e-2)
-        .expect("stepper builds")
-        .with_preconditioner(PreconditionerKind::Jacobi)
-        .expect("jacobi rung")
-        .with_options(SolveOptions { tolerance: 1e-12, max_iterations: 2, relaxation: 1.6 });
+    let healthy = SolveOptions { tolerance: 1e-9, max_iterations: 10_000, relaxation: 1.6 };
+    let starved = SolveOptions { tolerance: 1e-12, max_iterations: 2, relaxation: 1.6 };
+    let jacobi_stepper = || {
+        TransientStepper::new(&design, &spec, Celsius::new(40.0), 1e-2)
+            .expect("stepper builds")
+            .with_preconditioner(PreconditionerKind::Jacobi)
+            .expect("jacobi rung")
+    };
+    let mut stepper = jacobi_stepper().with_options(starved);
 
     let err = stepper.step(&[("src", 1.0)]).expect_err("starved solve must fail");
     assert!(
@@ -106,14 +112,39 @@ fn exhausted_ladder_is_a_typed_error_with_the_field_rolled_back() {
     );
     assert!(!stepper.health().converged, "health must flag the failure");
 
-    // The same stepper recovers once the cap is realistic.
-    let mut stepper = stepper.with_options(SolveOptions {
-        tolerance: 1e-9,
-        max_iterations: 10_000,
-        relaxation: 1.6,
-    });
+    // The same stepper recovers once the cap is realistic, and keeps
+    // pace with a twin that never failed past the projection window.
+    const HEALTHY_STEPS: usize = 7;
+    let mut stepper = stepper.with_options(healthy);
+    let mut twin = jacobi_stepper().with_options(healthy);
+    for _ in 0..HEALTHY_STEPS {
+        stepper.step(&[("src", 1.0)]).expect("healthy cap converges");
+        twin.step(&[("src", 1.0)]).expect("healthy cap converges");
+    }
+    assert_eq!(stepper.steps(), HEALTHY_STEPS);
+    let t_n = stepper.snapshot().temperatures().to_vec();
+
+    let mut stepper = stepper.with_options(starved);
+    stepper.step(&[("src", 1.0)]).expect_err("starved solve must fail after the window fills");
+    assert_eq!(stepper.steps(), HEALTHY_STEPS, "a failed step must not advance time");
+    assert!(!stepper.health().converged, "health must flag the failure");
+    let rolled_back = stepper.snapshot();
+    for (i, (got, want)) in rolled_back.temperatures().iter().zip(&t_n).enumerate() {
+        assert_eq!(got.to_bits(), want.to_bits(), "cell {i}: field must roll back to T_n bitwise");
+    }
+
+    // The failed iterate never entered the window: the next healthy step
+    // is bit-for-bit the never-failed twin's.
+    let mut stepper = stepper.with_options(healthy);
     stepper.step(&[("src", 1.0)]).expect("healthy cap converges");
-    assert_eq!(stepper.steps(), 1);
+    twin.step(&[("src", 1.0)]).expect("healthy cap converges");
+    assert_eq!(stepper.steps(), twin.steps());
+    assert_eq!(stepper.last_iterations(), twin.last_iterations());
+    for (i, (got, want)) in
+        stepper.snapshot().temperatures().iter().zip(twin.snapshot().temperatures()).enumerate()
+    {
+        assert_eq!(got.to_bits(), want.to_bits(), "cell {i}: recovered step left the trajectory");
+    }
 }
 
 #[test]
